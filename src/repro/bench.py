@@ -257,8 +257,8 @@ def compare_bench_documents(
     index blew its memory budget.  Build-time regressions, lost batch
     throughput, undersubscribed speedup drops (the runner has fewer
     cores than workers — on either side), a warm-cache speedup below
-    ``2.0``, and per-tier index-bytes growth are warnings only: they
-    track real machines, not the code alone.
+    ``2.0``, and per-tier index-bytes and index-build-time growth are
+    warnings only: they track real machines, not the code alone.
     """
     if not 0.0 < tolerance:
         raise ValueError("tolerance must be positive")
@@ -370,6 +370,13 @@ def compare_bench_documents(
             warnings.append(
                 f"scale tier {users}: index_bytes grew "
                 f"{now_bytes / then_bytes:.2f}x ({then_bytes} -> {now_bytes})"
+            )
+        now_s = float(row["index_build_s"])
+        then_s = float(before["index_build_s"])
+        if then_s > 0 and now_s > then_s * (1.0 + tolerance):
+            warnings.append(
+                f"scale tier {users}: index_build_s regressed "
+                f"{now_s / then_s:.2f}x ({then_s}s -> {now_s}s)"
             )
     return errors, warnings
 
@@ -719,6 +726,14 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
         compact_build_s = round(index_build_s, 6)
         compact_bytes = index_bytes
 
+    # build phases (landmark BFS incl. pruning checks, flatten) exist only
+    # for the compact cover; other backends report null
+    bfs_s = flatten_s = None
+    if backend == "compact":
+        phases = index.stats()
+        bfs_s = round(phases["bfs_s"], 6)
+        flatten_s = round(phases["flatten_s"], 6)
+
     budget = tier_config.index_memory_budget_bytes
     within_budget = True
     if budget is not None and backend in ("compact", "two-hop"):
@@ -742,6 +757,8 @@ def _scale_tier_bench(users: int, seed: int, config: LinkerConfig) -> Dict:
         "outputs_identical": identical,
         "memory_budget_bytes": budget,
         "within_budget": within_budget,
+        "index_bfs_s": bfs_s,
+        "index_flatten_s": flatten_s,
     }
 
 

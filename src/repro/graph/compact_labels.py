@@ -41,10 +41,11 @@ randomized battery in ``tests/test_compact_labels.py`` enforces this.
 
 from __future__ import annotations
 
+import time
 from array import array
 from bisect import bisect_left
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import DEFAULT_MAX_HOPS
 from repro.graph.digraph import DiGraph
@@ -59,6 +60,17 @@ def _index_of(pivots, lo: int, hi: int, rank: int) -> int:
     if k < hi and pivots[k] == rank:
         return k
     return -1
+
+
+def _table_distance(table: List[int], own_rank: int, pivots, dists) -> int:
+    """Staged distance from a node (rank ``own_rank``, opposite label
+    ``pivots``/``dists``) to the loaded landmark; > max_hops: unreachable."""
+    best = table[own_rank]
+    for pivot, dist in zip(pivots, dists):
+        dist += table[pivot]
+        if dist < best:
+            best = dist
+    return best
 
 
 class CompactTwoHopCover:
@@ -90,6 +102,8 @@ class CompactTwoHopCover:
         memory_budget_bytes: Optional[int] = None,
         followee_rank_cutoff: Optional[int] = None,
         pruned_followee_entries: int = 0,
+        bfs_s: Optional[float] = None,
+        flatten_s: Optional[float] = None,
     ) -> None:
         self._graph = graph
         self._max_hops = max_hops
@@ -107,6 +121,8 @@ class CompactTwoHopCover:
         self._memory_budget_bytes = memory_budget_bytes
         self._followee_rank_cutoff = followee_rank_cutoff
         self._pruned_followee_entries = pruned_followee_entries
+        self._bfs_s = bfs_s
+        self._flatten_s = flatten_s
 
     # ------------------------------------------------------------------ #
     # queries (same contracts as TwoHopCover)
@@ -270,7 +286,7 @@ class CompactTwoHopCover:
         return self.label_bytes() - self._f_pool.itemsize * len(self._f_pool)
 
     def stats(self) -> Dict[str, object]:
-        """Index shape summary for benches and debugging."""
+        """Index shape and build-phase seconds, for benches and debugging."""
         return {
             "nodes": self._graph.num_nodes,
             "label_entries": self.num_label_entries(),
@@ -280,6 +296,8 @@ class CompactTwoHopCover:
             "memory_budget_bytes": self._memory_budget_bytes,
             "backbone_bytes": self.backbone_bytes(),
             "label_bytes": self.label_bytes(),
+            "bfs_s": self._bfs_s,
+            "flatten_s": self._flatten_s,
         }
 
     @property
@@ -367,71 +385,27 @@ class _StagingLabels:
             None if dist == 1 else tuple(sorted(followees))
         )
 
-    # -- pruning queries used by the landmark BFS (mirror TwoHopCover) -- #
-    def distance(self, source: int, target: int) -> float:
-        if source == target:
-            return 0.0
-        out_pivots, out_dists = self.out_pivots[source], self.out_dists[source]
-        in_pivots, in_dists = self.in_pivots[target], self.in_dists[target]
-        best = INF
-        k = _index_of(out_pivots, 0, len(out_pivots), self.rank_of[target])
-        if k >= 0:
-            best = out_dists[k]
-        k = _index_of(in_pivots, 0, len(in_pivots), self.rank_of[source])
-        if k >= 0 and in_dists[k] < best:
-            best = in_dists[k]
-        i, j = 0, 0
-        no, ni = len(out_pivots), len(in_pivots)
-        while i < no and j < ni:
-            a = out_pivots[i]
-            b = in_pivots[j]
-            if a == b:
-                d = out_dists[i] + in_dists[j]
-                if d < best:
-                    best = d
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        return best if best <= self.max_hops else INF
-
-    def followees(self, source: int, target: int, best: int) -> Set[int]:
-        """Followee union over minimal pivots — ``TwoHopCover.query``'s
-        second component, for the equal-length pruning check."""
-        found: Set[int] = set()
-        out_pivots, out_dists = self.out_pivots[source], self.out_dists[source]
-        in_pivots, in_dists = self.in_pivots[target], self.in_dists[target]
-        k = _index_of(out_pivots, 0, len(out_pivots), self.rank_of[target])
-        if k >= 0 and out_dists[k] == best:
-            found |= self._fset(source, k)
-        i, j = 0, 0
-        no, ni = len(out_pivots), len(in_pivots)
-        while i < no and j < ni:
-            a = out_pivots[i]
-            b = in_pivots[j]
-            if a == b:
-                if out_dists[i] + in_dists[j] == best:
-                    found |= self._fset(source, i)
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        return found
-
-    def _fset(self, node: int, k: int) -> Set[int]:
-        stored = self.out_fsets[node][k]
-        if stored is None:
-            return {self.landmarks[self.out_pivots[node][k]]}
-        return set(stored)
+    def has_followee(self, source: int, node: int, length: int, table) -> bool:
+        """Equal-length pruning check: does a staged out-entry of ``source``
+        realising ``length`` to the loaded landmark already list ``node``?"""
+        landmarks = self.landmarks
+        for pivot, dist, fset in zip(
+            self.out_pivots[source], self.out_dists[source], self.out_fsets[source]
+        ):
+            if dist + table[pivot] == length and (
+                node == landmarks[pivot] if fset is None else node in fset
+            ):
+                return True
+        return False
 
     # ------------------------------------------------------------------ #
     def finalize(
-        self, memory_budget_bytes: Optional[int], exact_reachability: bool
+        self,
+        memory_budget_bytes: Optional[int],
+        exact_reachability: bool,
+        bfs_s: Optional[float] = None,
     ) -> CompactTwoHopCover:
+        started = time.perf_counter()
         n = self.graph.num_nodes
         total_in = sum(len(p) for p in self.in_pivots)
         total_out = sum(len(p) for p in self.out_pivots)
@@ -516,6 +490,8 @@ class _StagingLabels:
             memory_budget_bytes=memory_budget_bytes,
             followee_rank_cutoff=cutoff if memory_budget_bytes is not None else None,
             pruned_followee_entries=pruned,
+            bfs_s=bfs_s,
+            flatten_s=time.perf_counter() - started,
         )
 
 
@@ -537,12 +513,27 @@ def build_compact_two_hop_cover(
     different order of bookkeeping) and appends them to the staging
     buffers when the BFS finishes.  Peak memory is O(final index), never
     O(dict-of-dicts).
+
+    Pruning checks use the rank-indexed table of pruned landmark labeling
+    (Akiba, Iwata & Yoshida, SIGMOD 2013): before each BFS the landmark's
+    staged label is loaded into ``table`` (pivot rank -> distance,
+    ``max_hops + 1`` where absent), so ``dist(s, landmark)`` is one pass
+    over ``L_out(s)`` (``dist(landmark, t)`` one over ``L_in(t)``).  The
+    staged labels cannot change during a BFS, so answers are memoised.
     """
     landmarks = _landmark_order(graph, order, seed)
     stage = _StagingLabels(graph, max_hops, landmarks)
+    rank_of = stage.rank_of
+    far = max_hops + 1
+    table = [far] * graph.num_nodes
+    started = time.perf_counter()
     for rank, landmark in enumerate(landmarks):
         # backward BFS: out-labels of nodes that reach the landmark
+        loaded = stage.in_pivots[landmark]
+        for pivot, dist in zip(loaded, stage.in_dists[landmark]):
+            table[pivot] = dist
         local_out: Dict[int, Tuple[int, Set[int]]] = {}
+        known: Dict[int, int] = {}  # staged or local distance, this BFS only
         queue = deque([(landmark, 0)])
         enqueued: Set[int] = {landmark}
         while queue:
@@ -553,23 +544,34 @@ def build_compact_two_hop_cover(
             for s in graph.in_neighbors(node):
                 if s == landmark:
                     continue
-                entry = local_out.get(s)
-                current = entry[0] if entry is not None else stage.distance(s, landmark)
+                current = known.get(s)
+                if current is None:
+                    current = known[s] = _table_distance(
+                        table, rank_of[s], stage.out_pivots[s], stage.out_dists[s]
+                    )
                 if length < current:
+                    known[s] = length
                     local_out[s] = (length, {node})
                     if length < max_hops and s not in enqueued:
                         enqueued.add(s)
                         queue.append((s, length))
                 elif length == current:
+                    entry = local_out.get(s)
                     if entry is None:
-                        if node not in stage.followees(s, landmark, length):
+                        if not stage.has_followee(s, node, length, table):
                             local_out[s] = (length, {node})
                     elif node not in entry[1]:
                         entry[1].add(node)
+        for pivot in loaded:
+            table[pivot] = far
         for s, (dist, followees) in local_out.items():
             stage.append_out(s, rank, dist, followees)
         # forward BFS: in-labels of nodes the landmark reaches
+        loaded = stage.out_pivots[landmark]
+        for pivot, dist in zip(loaded, stage.out_dists[landmark]):
+            table[pivot] = dist
         local_in: Dict[int, int] = {}
+        known = {}
         queue = deque([(landmark, 0)])
         enqueued = {landmark}
         while queue:
@@ -580,21 +582,19 @@ def build_compact_two_hop_cover(
             for t in graph.out_neighbors(node):
                 if t == landmark:
                     continue
-                current = local_in.get(t)
+                current = known.get(t)
                 if current is None:
-                    current = stage.distance(landmark, t)
+                    current = known[t] = _table_distance(
+                        table, rank_of[t], stage.in_pivots[t], stage.in_dists[t]
+                    )
                 if length < current:
-                    local_in[t] = length
+                    known[t] = local_in[t] = length
                     if length < max_hops and t not in enqueued:
                         enqueued.add(t)
                         queue.append((t, length))
+        for pivot in loaded:
+            table[pivot] = far
         for t, dist in local_in.items():
             stage.append_in(t, rank, dist)
-    return stage.finalize(memory_budget_bytes, exact_reachability)
-
-
-def _iter_out_entries(cover: CompactTwoHopCover) -> Iterator[Tuple[int, int, int]]:
-    """(node, rank, dist) triples — test/introspection helper."""
-    for node in range(cover._graph.num_nodes):
-        for k in range(cover._out_offsets[node], cover._out_offsets[node + 1]):
-            yield node, cover._out_pivots[k], cover._out_dists[k]
+    bfs_s = time.perf_counter() - started
+    return stage.finalize(memory_budget_bytes, exact_reachability, bfs_s)

@@ -1,16 +1,19 @@
 """``repro bench``: schema validation and a smoke run of the full pipeline."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from repro.bench import (
     SCHEMA_VERSION,
+    _scale_tier_bench,
     compare_bench_documents,
     run_bench,
     validate_bench_document,
 )
+from repro.config import DEFAULT_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,19 @@ class TestSmokeRun:
         document, _ = smoke_document
         counters = document["perf"]["counters"]
         assert counters.get("graph.one_pass_bfs", 0) > 0
+
+    def test_closure_tier_has_no_build_phases(self, smoke_document):
+        document, _ = smoke_document
+        (tier,) = document["scale"]["tiers"]
+        assert tier["backend"] == "closure"
+        assert tier["index_bfs_s"] is None and tier["index_flatten_s"] is None
+
+    def test_compact_tier_reports_build_phases(self):
+        config = dataclasses.replace(DEFAULT_CONFIG, index_backend="compact")
+        tier = _scale_tier_bench(200, 5, config)
+        assert tier["backend"] == "compact"
+        assert 0 < tier["index_bfs_s"] <= tier["index_build_s"]
+        assert 0 < tier["index_flatten_s"] <= tier["index_build_s"]
 
     def test_requires_baseline_worker(self):
         with pytest.raises(ValueError):
@@ -199,6 +215,17 @@ class TestCompare:
         errors, warnings = compare_bench_documents(current, baseline)
         assert errors == []
         assert any("transitive_closure_parallel_s" in w for w in warnings)
+
+    def test_tier_build_time_regression_only_warns(self, docs):
+        current, baseline = docs
+        tier = current["scale"]["tiers"][0]
+        tier["index_build_s"] = baseline["scale"]["tiers"][0]["index_build_s"] * 2.0
+        errors, warnings = compare_bench_documents(current, baseline, tolerance=0.25)
+        assert errors == []
+        assert any(
+            f"scale tier {tier['users']}: index_build_s regressed" in w
+            for w in warnings
+        )
 
     def test_low_speedup_only_warns(self, docs):
         current, baseline = docs

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import scale_tier_profile
 from repro.graph.compact_labels import (
     CompactTwoHopCover,
     build_compact_two_hop_cover,
 )
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import streaming_world_graph
 from repro.graph.reachability import (
     weighted_reachability,
     weighted_reachability_from,
@@ -31,6 +33,34 @@ from repro.graph.reachability import (
 from repro.graph.two_hop import INF, build_two_hop_cover
 
 from conftest import random_graph
+
+
+ORDERS = ["degree", "coverage", "random"]
+
+#: Every flat buffer of a compact cover, in constructor order.
+BUFFERS = (
+    "_landmarks",
+    "_rank_of",
+    "_in_offsets",
+    "_in_pivots",
+    "_in_dists",
+    "_out_offsets",
+    "_out_pivots",
+    "_out_dists",
+    "_f_offsets",
+    "_f_pool",
+)
+
+
+def assert_same_buffers(built, frozen):
+    """Byte-identical label buffers and budget bookkeeping."""
+    for name in BUFFERS:
+        assert bytes(getattr(built, name)) == bytes(getattr(frozen, name)), name
+    assert built.pruned_followee_entries == frozen.pruned_followee_entries
+    assert (
+        built.stats()["followee_rank_cutoff"]
+        == frozen.stats()["followee_rank_cutoff"]
+    )
 
 
 def assert_bit_identical(compact, oracle, graph):
@@ -62,15 +92,22 @@ class TestRandomizedIdentity:
         density=st.floats(min_value=0.05, max_value=0.6),
         max_hops=st.sampled_from([1, 2, 3, 4, 6]),
         seed=st.integers(min_value=0, max_value=10_000),
+        order=st.sampled_from(ORDERS),
     )
-    def test_matches_dict_cover(self, nodes, density, max_hops, seed):
+    def test_matches_dict_cover(self, nodes, density, max_hops, seed, order):
         edges = int(density * nodes * (nodes - 1))
         graph = random_graph(nodes, edges, seed)
-        oracle = build_two_hop_cover(graph, max_hops=max_hops)
-        compact = build_compact_two_hop_cover(graph, max_hops=max_hops)
+        oracle = build_two_hop_cover(
+            graph, max_hops=max_hops, order=order, seed=seed
+        )
+        compact = build_compact_two_hop_cover(
+            graph, max_hops=max_hops, order=order, seed=seed
+        )
         assert compact.max_hops == max_hops
         assert compact.num_label_entries() == oracle.num_label_entries()
         assert_bit_identical(compact, oracle, graph)
+        frozen = CompactTwoHopCover.from_cover(oracle, graph, order=order, seed=seed)
+        assert_same_buffers(compact, frozen)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -97,17 +134,54 @@ class TestRandomizedIdentity:
         nodes=st.integers(min_value=2, max_value=20),
         density=st.floats(min_value=0.05, max_value=0.5),
         seed=st.integers(min_value=0, max_value=10_000),
+        order=st.sampled_from(ORDERS),
     )
-    def test_from_cover_freeze_is_identical(self, nodes, density, seed):
+    def test_from_cover_freeze_is_identical(self, nodes, density, seed, order):
         """Freezing a built dict cover == building compactly from scratch."""
         edges = int(density * nodes * (nodes - 1))
         graph = random_graph(nodes, edges, seed)
-        oracle = build_two_hop_cover(graph, max_hops=4)
-        frozen = CompactTwoHopCover.from_cover(oracle, graph)
-        direct = build_compact_two_hop_cover(graph, max_hops=4)
+        oracle = build_two_hop_cover(graph, max_hops=4, order=order, seed=seed)
+        frozen = CompactTwoHopCover.from_cover(oracle, graph, order=order, seed=seed)
+        direct = build_compact_two_hop_cover(
+            graph, max_hops=4, order=order, seed=seed
+        )
         assert frozen.num_label_entries() == direct.num_label_entries()
+        assert_same_buffers(direct, frozen)
         assert_bit_identical(frozen, oracle, graph)
         assert_bit_identical(direct, oracle, graph)
+
+
+class TestStreamingWorldIdentity:
+    """Hub/faction worlds give labels dozens of entries long — the sizes
+    where a stale build-time memo or a missed table reset would show,
+    which the small random graphs above never reach."""
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    @pytest.mark.parametrize("budgeted", [False, True], ids=["free", "budget"])
+    def test_build_equals_frozen_dict_cover(self, seed, budgeted):
+        graph = streaming_world_graph(scale_tier_profile(800, seed))
+        oracle = build_two_hop_cover(graph)
+        budget = None
+        if budgeted:
+            free = build_compact_two_hop_cover(graph)
+            backbone = free.backbone_bytes()
+            budget = backbone + (free.label_bytes() - backbone) // 2
+        built = build_compact_two_hop_cover(graph, memory_budget_bytes=budget)
+        frozen = CompactTwoHopCover.from_cover(
+            oracle, graph, memory_budget_bytes=budget
+        )
+        assert built.num_label_entries() / graph.num_nodes > 20
+        if budgeted:
+            assert built.pruned_followee_entries > 0
+        assert_same_buffers(built, frozen)
+
+    def test_build_phase_timings_in_stats(self):
+        graph = streaming_world_graph(scale_tier_profile(200, 3))
+        stats = build_compact_two_hop_cover(graph).stats()
+        assert stats["bfs_s"] > 0 and stats["flatten_s"] > 0
+        frozen = CompactTwoHopCover.from_cover(build_two_hop_cover(graph), graph)
+        assert frozen.stats()["bfs_s"] is None
+        assert frozen.stats()["flatten_s"] > 0
 
 
 class TestEdgeCases:
